@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race bench bench-parallel bench-telemetry bench-solve bench-scaling bench-kernels bench-diff fuzz golden profile metrics-demo provenance-demo serve-demo trace-demo health-demo fleet-demo
+.PHONY: build vet test test-short test-race bench bench-parallel bench-telemetry bench-solve bench-scaling bench-diff fuzz golden profile metrics-demo provenance-demo serve-demo trace-demo health-demo fleet-demo
 
 build:
 	$(GO) build ./...
@@ -30,26 +30,19 @@ bench-parallel:
 
 # bench-solve measures the prepared-solve engine against the historical
 # rebuild-everything path (closed-loop solve, explore sweep slice, ext-em-mc)
-# plus the multi-RHS serial-vs-batch scaling pairs and the intra-solve
-# kernel workers-1-vs-8 pairs, and renders the fresh-vs-prepared,
-# serial-vs-batch and kernel speedups into BENCH_solve.json.
+# plus the multi-RHS serial-vs-batch scaling pairs and the lane-budget
+# workers-1-vs-8 pair, and renders the fresh-vs-prepared, serial-vs-batch
+# and lane-budget speedups into BENCH_solve.json.
 bench-solve:
 	$(GO) test -bench '^BenchmarkSolve' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson > BENCH_solve.json
 	@cat BENCH_solve.json
 
 # bench-scaling runs only the multi-RHS node-count scaling pairs (batched
 # vs per-RHS setup+solve at 10k/100k/1M nodes; the 1M AMG point is skipped
-# under -short).
+# under -short) and the 100k-node lane-budget pair (8 lanes at a worker
+# budget of 1 vs 8).
 bench-scaling:
 	$(GO) test -bench '^BenchmarkSolveScale' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
-
-# bench-kernels runs only the intra-solve kernel scaling pairs: the same
-# solve (or kernel) with the kernel worker count at 1 and 8. Results are
-# bit-identical by construction, so the pair ratio is the pure scheduling
-# cost or win at that node count. The 1M-node points are skipped under
-# -short.
-bench-kernels:
-	$(GO) test -bench '^BenchmarkSolveScale.*Workers[18]$$' -run '^$$' -count 3 -timeout 60m . | $(GO) run ./cmd/benchjson
 
 # bench-diff runs a quick (-benchtime=1x -short) solve-bench smoke, renders
 # it with benchjson and gates its fresh-vs-prepared / serial-vs-batch
@@ -66,15 +59,13 @@ bench-telemetry:
 	$(GO) test -bench 'Fig5aTelemetry' -run '^$$' -count 5 .
 
 # fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
-# the cache-fingerprint keying contract, batch-vs-serial solver
-# equivalence, and the IC(0) level-schedule topology/bit-equality
-# contract. (`go test -fuzz` takes one target per invocation.)
+# the cache-fingerprint keying contract and batch-vs-serial solver
+# equivalence. (`go test -fuzz` takes one target per invocation.)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzBatchSerialEquivalence -fuzztime 30s
-	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzLevelSchedule -fuzztime 30s
 
 # golden regenerates the pinned paper-number snapshots after a deliberate
 # model change.

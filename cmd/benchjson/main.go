@@ -72,9 +72,9 @@ type BatchPair struct {
 }
 
 // KernelPair couples a Workers1 benchmark with its Workers8 twin (the
-// intra-solve kernel scaling pairs): the same solve with the kernel
-// worker count at 1 and 8, bit-identical by construction, so the ratio
-// is the pure kernel speedup.
+// lane-budget pair): the same batched solve with a worker budget of 1 and
+// 8, bit-identical by construction, so the ratio is the pure lane-parallel
+// speedup. The JSON key kernel_pairs is kept for baseline compatibility.
 type KernelPair struct {
 	Name       string  `json:"name"`
 	Workers1Ns float64 `json:"workers1_ns_per_op"`

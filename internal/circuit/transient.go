@@ -182,6 +182,9 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	}
 	a := b.ToCSR()
 
+	// Tol and MaxIter default exactly as in Solve. The Auto mapping is
+	// transient's own: Direct up to directThreshold nodes, IC(0)-PCG above.
+	_, tol, maxIter := opts.Solve.resolve(nn)
 	kind := opts.Solve.Solver
 	if kind == Auto {
 		if nn <= directThreshold {
@@ -212,19 +215,10 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 	case PCGJacobi:
 		prec = sparse.NewJacobi(a)
+	case PCGAMG:
+		return nil, fmt.Errorf("%w: solver PCGAMG is not supported in transient analysis", ErrTransient)
 	default:
 		return nil, fmt.Errorf("%w: unknown solver %d", ErrTransient, kind)
-	}
-	tol := opts.Solve.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	maxIter := opts.Solve.MaxIter
-	if maxIter == 0 {
-		maxIter = 20 * nn
-		if maxIter < 1000 {
-			maxIter = 1000
-		}
 	}
 
 	// Inductor current state at the operating point: solve from branch

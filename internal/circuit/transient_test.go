@@ -1,7 +1,9 @@
 package circuit
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"voltstack/internal/units"
@@ -190,6 +192,22 @@ func TestTransientValidation(t *testing.T) {
 		}
 	}()
 	_, _ = n.Transient(TransientOptions{DT: 1e-9, Steps: 1}, []int{99})
+}
+
+// An explicit PCGAMG request is refused by name: transient analysis has
+// no AMG path.
+func TestTransientRejectsAMG(t *testing.T) {
+	n := New()
+	a := n.Node()
+	n.AddRailTie(a, 1, 1)
+	n.AddCapacitor(a, Ground, 1e-9)
+	_, err := n.Transient(TransientOptions{DT: 1e-9, Steps: 1, Solve: SolveOptions{Solver: PCGAMG}}, nil)
+	if !errors.Is(err, ErrTransient) {
+		t.Fatalf("err = %v, want ErrTransient", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "PCGAMG") || !strings.Contains(msg, "not supported in transient") {
+		t.Fatalf("error %q does not name PCGAMG as unsupported in transient", msg)
+	}
 }
 
 func TestTransientElementValidation(t *testing.T) {

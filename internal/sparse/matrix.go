@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Builder accumulates matrix entries in coordinate (COO) form. Duplicate
@@ -203,12 +202,6 @@ type CSR struct {
 	rowPtr []int
 	col    []int32
 	val    []float64
-
-	// Cached nnz-balanced row partitions for parallel SpMV, keyed by part
-	// count. Structure-only (derived from rowPtr), so value restamps never
-	// invalidate them; guarded because batch lanes share one matrix.
-	partMu sync.Mutex
-	parts  map[int][]int32
 }
 
 // N returns the matrix dimension.
@@ -247,6 +240,7 @@ func (m *CSR) Row(i int, f func(j int, v float64)) {
 
 // MulVec computes y = A*x. y must have length N and may not alias x.
 func (m *CSR) MulVec(x, y []float64) {
+	mKernelSpMV.Add(1)
 	if len(x) != m.n || len(y) != m.n {
 		panic("sparse: MulVec dimension mismatch")
 	}

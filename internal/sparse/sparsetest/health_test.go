@@ -1,8 +1,8 @@
 // Solver-health probe properties: enabling the convergence probes must
 // not perturb a single bit of any solve at any layer (sparse, circuit,
-// pdngrid) or worker count, the condition estimates must agree with the
-// known spectrum of closed-form test systems, and a disabled probe must
-// cost zero allocations.
+// pdngrid) or batch lane count, the condition estimates must agree with
+// the known spectrum of closed-form test systems, and a disabled probe
+// must cost zero allocations.
 package sparsetest
 
 import (
@@ -32,9 +32,10 @@ func withProbes(on bool, f func()) {
 }
 
 // TestProbesDoNotPerturbSparseSolves is the sparse-level half of the
-// probes-don't-perturb contract: PCGW and PCGBatch with probes on are
-// bit-identical to probes off for every matrix, preconditioner and
-// worker count — and the probed solves actually carry a health report.
+// probes-don't-perturb contract: PCGW, and PCGBatch at 1, 2 and 8 lane
+// workers, with probes on are bit-identical to probes off for every
+// matrix and preconditioner — and the probed solves actually carry a
+// health report.
 func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 	const k = 4
 	for label, a := range matrices() {
@@ -43,71 +44,72 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 		bs := RandomBatch(n, k, 4242)
 		tol, maxIter := 1e-10, 20*n
 		for _, kind := range []string{"ic0", "amg", "jacobi"} {
-			for _, workers := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s %s workers=%d", label, kind, workers)
+			name := fmt.Sprintf("%s %s", label, kind)
 
-				var refX []float64
-				var refRes sparse.CGResult
-				withProbes(false, func() {
-					ws := sparse.NewPCGWorkspace(n)
-					ws.SetWorkers(workers)
-					var err error
-					refX, refRes, err = sparse.PCGW(a, b, nil, precFor(t, kind, a, workers), tol, maxIter, ws)
-					if err != nil {
-						t.Fatalf("%s probes-off: %v", name, err)
-					}
-				})
-				if refRes.Health != nil {
-					t.Fatalf("%s: health report recorded with probes off", name)
+			var refX []float64
+			var refRes sparse.CGResult
+			withProbes(false, func() {
+				var err error
+				refX, refRes, err = sparse.PCGW(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
+				if err != nil {
+					t.Fatalf("%s probes-off: %v", name, err)
 				}
+			})
+			if refRes.Health != nil {
+				t.Fatalf("%s: health report recorded with probes off", name)
+			}
 
+			withProbes(true, func() {
+				x, res, err := sparse.PCGW(a, b, nil, precFor(t, kind, a), tol, maxIter, sparse.NewPCGWorkspace(n))
+				if err != nil {
+					t.Fatalf("%s probes-on: %v", name, err)
+				}
+				mustBitEqual(t, name+" probes", refX, x)
+				if res.Iterations != refRes.Iterations ||
+					math.Float64bits(res.Residual) != math.Float64bits(refRes.Residual) {
+					t.Fatalf("%s: result perturbed: %+v vs %+v", name, res, refRes)
+				}
+				h := res.Health
+				if h == nil {
+					t.Fatalf("%s: no health report with probes on", name)
+				}
+				if !h.Converged || h.Iterations != res.Iterations || h.N != n {
+					t.Fatalf("%s: health report inconsistent: %+v", name, h)
+				}
+				if len(h.Residuals) == 0 || h.Residuals[0] <= h.Residuals[len(h.Residuals)-1] {
+					t.Fatalf("%s: residual history not decreasing: %v", name, h.Residuals)
+				}
+				if h.CondEstimate > 0 && (h.LambdaMin <= 0 || h.LambdaMax < h.LambdaMin) {
+					t.Fatalf("%s: bad spectrum estimate: %+v", name, h)
+				}
+			})
+
+			var wantX [k][]float64
+			var wantRes [k]sparse.CGResult
+			withProbes(false, func() {
+				for i := range bs {
+					var err error
+					wantX[i], wantRes[i], err = sparse.PCG(a, bs[i], nil, precFor(t, kind, a), tol, maxIter)
+					if err != nil {
+						t.Fatalf("%s lane %d probes-off: %v", name, i, err)
+					}
+				}
+			})
+			for _, workers := range []int{1, 2, 8} {
+				bname := fmt.Sprintf("%s workers=%d", name, workers)
 				withProbes(true, func() {
-					ws := sparse.NewPCGWorkspace(n)
-					ws.SetWorkers(workers)
-					x, res, err := sparse.PCGW(a, b, nil, precFor(t, kind, a, workers), tol, maxIter, ws)
+					xs, results, err := sparse.PCGBatch(a, bs, nil, precFor(t, kind, a), tol, maxIter, nil, workers)
 					if err != nil {
-						t.Fatalf("%s probes-on: %v", name, err)
-					}
-					mustBitEqual(t, name+" probes", refX, x)
-					if res.Iterations != refRes.Iterations ||
-						math.Float64bits(res.Residual) != math.Float64bits(refRes.Residual) {
-						t.Fatalf("%s: result perturbed: %+v vs %+v", name, res, refRes)
-					}
-					h := res.Health
-					if h == nil {
-						t.Fatalf("%s: no health report with probes on", name)
-					}
-					if !h.Converged || h.Iterations != res.Iterations || h.N != n {
-						t.Fatalf("%s: health report inconsistent: %+v", name, h)
-					}
-					if len(h.Residuals) == 0 || h.Residuals[0] <= h.Residuals[len(h.Residuals)-1] {
-						t.Fatalf("%s: residual history not decreasing: %v", name, h.Residuals)
-					}
-					if h.CondEstimate > 0 && (h.LambdaMin <= 0 || h.LambdaMax < h.LambdaMin) {
-						t.Fatalf("%s: bad spectrum estimate: %+v", name, h)
-					}
-
-					xs, results, err := sparse.PCGBatch(a, bs, nil, precFor(t, kind, a, 1), tol, maxIter, nil, workers)
-					if err != nil {
-						t.Fatalf("%s batch probes-on: %v", name, err)
+						t.Fatalf("%s batch probes-on: %v", bname, err)
 					}
 					for i := range bs {
-						var wantX []float64
-						var wantRes sparse.CGResult
-						withProbes(false, func() {
-							var err error
-							wantX, wantRes, err = sparse.PCG(a, bs[i], nil, precFor(t, kind, a, 1), tol, maxIter)
-							if err != nil {
-								t.Fatalf("%s lane %d probes-off: %v", name, i, err)
-							}
-						})
-						mustBitEqual(t, fmt.Sprintf("%s batch lane %d", name, i), wantX, xs[i])
-						if results[i].Iterations != wantRes.Iterations ||
-							math.Float64bits(results[i].Residual) != math.Float64bits(wantRes.Residual) {
-							t.Fatalf("%s lane %d perturbed: %+v vs %+v", name, i, results[i], wantRes)
+						mustBitEqual(t, fmt.Sprintf("%s batch lane %d", bname, i), wantX[i], xs[i])
+						if results[i].Iterations != wantRes[i].Iterations ||
+							math.Float64bits(results[i].Residual) != math.Float64bits(wantRes[i].Residual) {
+							t.Fatalf("%s lane %d perturbed: %+v vs %+v", bname, i, results[i], wantRes[i])
 						}
 						if results[i].Health == nil {
-							t.Fatalf("%s lane %d: no health report", name, i)
+							t.Fatalf("%s lane %d: no health report", bname, i)
 						}
 					}
 				})
@@ -118,7 +120,7 @@ func TestProbesDoNotPerturbSparseSolves(t *testing.T) {
 
 // TestProbesDoNotPerturbSystemSolves pins the circuit and pdngrid
 // levels: full netlist and voltage-stacked PDN solves are bit-identical
-// with probes on and off, at workers 1, 2 and 8.
+// with probes on and off.
 func TestProbesDoNotPerturbSystemSolves(t *testing.T) {
 	build := func() *circuit.Netlist {
 		net := circuit.New()
@@ -140,55 +142,49 @@ func TestProbesDoNotPerturbSystemSolves(t *testing.T) {
 	}
 	cores := power.Example16Core().NumCores()
 	acts := pdngrid.InterleavedActivities(3, cores, 0.65)
+	opts := circuit.SolveOptions{Solver: circuit.PCGIC0}
 
-	for _, workers := range []int{1, 2, 8} {
-		name := fmt.Sprintf("workers=%d", workers)
-		opts := circuit.SolveOptions{Solver: circuit.PCGIC0, Workers: workers}
-
-		var refV []float64
-		withProbes(false, func() {
-			ref, err := build().Solve(opts)
-			if err != nil {
-				t.Fatalf("%s circuit probes-off: %v", name, err)
-			}
-			refV = ref.Voltages()
-		})
-		withProbes(true, func() {
-			sol, err := build().Solve(opts)
-			if err != nil {
-				t.Fatalf("%s circuit probes-on: %v", name, err)
-			}
-			mustBitEqual(t, name+" circuit", refV, sol.Voltages())
-			if sol.Health == nil {
-				t.Fatalf("%s: circuit solution carries no health report", name)
-			}
-		})
-
-		var refPDN *pdngrid.Result
-		mkPDN := func() *pdngrid.PDN {
-			cfg := vsTestConfig(circuit.PCGIC0, nil)
-			cfg.Solve.Workers = workers
-			pdn, err := pdngrid.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pdn
+	var refV []float64
+	withProbes(false, func() {
+		ref, err := build().Solve(opts)
+		if err != nil {
+			t.Fatalf("circuit probes-off: %v", err)
 		}
-		withProbes(false, func() {
-			var err error
-			refPDN, err = mkPDN().Solve(acts)
-			if err != nil {
-				t.Fatalf("%s pdn probes-off: %v", name, err)
-			}
-		})
-		withProbes(true, func() {
-			got, err := mkPDN().Solve(acts)
-			if err != nil {
-				t.Fatalf("%s pdn probes-on: %v", name, err)
-			}
-			pdnResultsBitEqual(t, name+" pdn", refPDN, got)
-		})
+		refV = ref.Voltages()
+	})
+	withProbes(true, func() {
+		sol, err := build().Solve(opts)
+		if err != nil {
+			t.Fatalf("circuit probes-on: %v", err)
+		}
+		mustBitEqual(t, "circuit", refV, sol.Voltages())
+		if sol.Health == nil {
+			t.Fatal("circuit solution carries no health report")
+		}
+	})
+
+	var refPDN *pdngrid.Result
+	mkPDN := func() *pdngrid.PDN {
+		pdn, err := pdngrid.New(vsTestConfig(circuit.PCGIC0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pdn
 	}
+	withProbes(false, func() {
+		var err error
+		refPDN, err = mkPDN().Solve(acts)
+		if err != nil {
+			t.Fatalf("pdn probes-off: %v", err)
+		}
+	})
+	withProbes(true, func() {
+		got, err := mkPDN().Solve(acts)
+		if err != nil {
+			t.Fatalf("pdn probes-on: %v", err)
+		}
+		pdnResultsBitEqual(t, "pdn", refPDN, got)
+	})
 }
 
 // TestConditionEstimateKnownSpectrum checks the Lanczos-based estimates
@@ -233,13 +229,11 @@ func TestConditionEstimateKnownSpectrum(t *testing.T) {
 }
 
 // TestProbesZeroAllocWhenDisabled pins the disabled-probe cost at zero
-// extra allocations. A warmed-workspace PCGW solve's alloc budget is the
-// returned x plus the four per-iteration kernel-reduction closures
-// (blockedDot twice, fusedUpdateNormSq, parXpby) — the probe structures
-// (ring buffers, Lanczos coefficient slices) would blow that budget the
-// moment anything allocated before checking the gate. The budget is
-// re-derived from the solve's own iteration count, so it tracks matrix
-// and tolerance changes; the small constant covers setup reductions.
+// extra allocations. A warmed-workspace PCGW solve allocates only the
+// returned x; the budget adds a few allocations of slack for toolchain
+// escape-analysis shifts, far below one per iteration, so probe
+// structures (ring buffers, Lanczos coefficient slices) allocated before
+// checking the gate would blow it.
 func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	a := Grid2D(16, 16, 1e-3)
 	n := a.N()
@@ -256,9 +250,9 @@ func TestProbesZeroAllocWhenDisabled(t *testing.T) {
 	}
 	withProbes(false, func() {
 		solve() // warm the workspace (and learn the iteration count)
-		budget := float64(4*iters + 12)
+		const budget = 4
 		if allocs := testing.AllocsPerRun(10, solve); allocs > budget {
-			t.Fatalf("probes disabled: %.1f allocs/solve over %d iterations, budget %.0f — the disabled probe path allocates", allocs, iters, budget)
+			t.Fatalf("probes disabled: %.1f allocs/solve over %d iterations, budget %d — the disabled probe path allocates", allocs, iters, budget)
 		}
 	})
 	// Sanity check the other side of the gate: with probes on the same

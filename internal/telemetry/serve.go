@@ -99,29 +99,6 @@ func RecordAMGHierarchy(levelUnknowns []int, opComplexity float64) {
 	amgMu.Unlock()
 }
 
-// Intra-solve kernel occupancy behind /statusz: the most recent parallel
-// kernel dispatch's worker count and busy fraction (Σ worker busy time /
-// (wall × workers)), recorded by the sparse kernels only for parallel
-// dispatches. Dispatch counts come from the sparse_kernel_* counters.
-var (
-	kernelMu        sync.Mutex
-	kernelWorkers   int
-	kernelOccupancy float64
-)
-
-// RecordKernelOccupancy stores the worker count and occupancy of the most
-// recent parallel sparse-kernel dispatch for /statusz. No-op while process
-// telemetry is disabled.
-func RecordKernelOccupancy(workers int, occupancy float64) {
-	if !std.on.Load() {
-		return
-	}
-	kernelMu.Lock()
-	kernelWorkers = workers
-	kernelOccupancy = occupancy
-	kernelMu.Unlock()
-}
-
 // StatusSnapshot is the /statusz payload: a coarse live view of where a
 // run is, assembled from the metric registry's counters.
 type StatusSnapshot struct {
@@ -144,15 +121,11 @@ type StatusSnapshot struct {
 	AMGLevelUnknowns      []int64 `json:"amg_level_unknowns,omitempty"`
 	AMGOperatorComplexity float64 `json:"amg_operator_complexity,omitempty"`
 
-	// Intra-solve kernel parallelism: cumulative kernel invocations (SpMV,
-	// triangular solves, smoother sweeps), parallel dispatches, and the
-	// worker count / occupancy of the most recent parallel dispatch.
-	KernelSpMV             int64   `json:"kernel_spmv,omitempty"`
-	KernelTrisolves        int64   `json:"kernel_trisolves,omitempty"`
-	KernelSmootherSweeps   int64   `json:"kernel_smoother_sweeps,omitempty"`
-	KernelParallelDispatch int64   `json:"kernel_parallel_dispatches,omitempty"`
-	KernelWorkers          int     `json:"kernel_workers,omitempty"`
-	KernelWorkerOccupancy  float64 `json:"kernel_worker_occupancy,omitempty"`
+	// Cumulative sparse kernel invocations: SpMV, IC(0) triangular
+	// solves, AMG smoother sweeps.
+	KernelSpMV           int64 `json:"kernel_spmv,omitempty"`
+	KernelTrisolves      int64 `json:"kernel_trisolves,omitempty"`
+	KernelSmootherSweeps int64 `json:"kernel_smoother_sweeps,omitempty"`
 
 	// Solver health: cumulative probe reports and detector trips from the
 	// solver_health_* instruments, plus the most recently probed solve's
@@ -238,11 +211,6 @@ func Status() StatusSnapshot {
 	s.KernelSpMV = std.Counter("sparse_kernel_spmv_total").Value()
 	s.KernelTrisolves = std.Counter("sparse_kernel_trisolve_total").Value()
 	s.KernelSmootherSweeps = std.Counter("sparse_kernel_smoother_total").Value()
-	s.KernelParallelDispatch = std.Counter("sparse_kernel_parallel_dispatches_total").Value()
-	kernelMu.Lock()
-	s.KernelWorkers = kernelWorkers
-	s.KernelWorkerOccupancy = kernelOccupancy
-	kernelMu.Unlock()
 	s.HealthReports = std.Counter("solver_health_reports_total").Value()
 	s.HealthStagnations = std.Counter("solver_health_stagnation_total").Value()
 	s.HealthPlateaus = std.Counter("solver_health_plateau_total").Value()
