@@ -257,7 +257,7 @@ func TestSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []SolverKind{PCGIC0, PCGJacobi, DirectSparseND} {
+	for _, kind := range []SolverKind{PCGIC0, PCGJacobi, PCGAMG, DirectSparseND} {
 		si, err := n.Solve(SolveOptions{Solver: kind, Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("solver %d: %v", kind, err)
@@ -266,6 +266,36 @@ func TestSolversAgree(t *testing.T) {
 			if !units.ApproxEqual(sd.V(node), si.V(node), 1e-7, 1e-6) {
 				t.Fatalf("solver %d disagrees at node %d: %g vs %g", kind, node, sd.V(node), si.V(node))
 			}
+		}
+	}
+}
+
+// TestChoosePolicy pins the Auto policy at the direct threshold, at the
+// paper run's largest system (49k nodes) and beyond it.
+func TestChoosePolicy(t *testing.T) {
+	cases := []struct {
+		nodes    int
+		dc, step SolverKind
+	}{
+		{4000, Direct, Direct},
+		{4001, PCGAMG, PCGIC0},
+		{49_000, PCGAMG, PCGIC0},
+		{200_000, PCGAMG, PCGIC0},
+		{1_000_000, PCGAMG, PCGIC0},
+	}
+	for _, c := range cases {
+		if got := choosePolicy(dcMatrix, c.nodes); got != c.dc {
+			t.Errorf("DC at %d nodes: got kind %d, want %d", c.nodes, got, c.dc)
+		}
+		if got := choosePolicy(stepMatrix, c.nodes); got != c.step {
+			t.Errorf("transient at %d nodes: got kind %d, want %d", c.nodes, got, c.step)
+		}
+		// resolve routes Auto, and only Auto, through the policy.
+		if kind, _, _ := (SolveOptions{}).resolve(dcMatrix, c.nodes); kind != c.dc {
+			t.Errorf("resolve Auto DC at %d nodes: got kind %d, want %d", c.nodes, kind, c.dc)
+		}
+		if kind, _, _ := (SolveOptions{Solver: PCGJacobi}).resolve(stepMatrix, c.nodes); kind != PCGJacobi {
+			t.Errorf("resolve PCGJacobi at %d nodes: got kind %d", c.nodes, kind)
 		}
 	}
 }

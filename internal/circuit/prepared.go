@@ -126,7 +126,7 @@ func (p *Prepared) compile() error {
 	for i, c := range n.converters {
 		p.parActive[i] = c.gPar > 0
 	}
-	p.kind, p.tol, p.maxIter = p.opts.resolve(nn)
+	p.kind, p.tol, p.maxIter = p.opts.resolve(dcMatrix, nn)
 	p.skySym, p.skyF = nil, nil
 	p.ndSym, p.ndF = nil, nil
 	p.icSym, p.icF, p.icOK = nil, nil, false

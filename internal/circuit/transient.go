@@ -182,19 +182,10 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	}
 	a := b.ToCSR()
 
-	// Tol and MaxIter default exactly as in Solve. The Auto mapping is
-	// transient's own: Direct up to directThreshold nodes, IC(0)-PCG above.
-	_, tol, maxIter := opts.Solve.resolve(nn)
-	kind := opts.Solve.Solver
-	if kind == Auto {
-		if nn <= directThreshold {
-			kind = Direct
-		} else {
-			kind = PCGIC0
-		}
-	}
+	kind, tol, maxIter := opts.Solve.resolve(stepMatrix, nn)
 	var chol interface{ SolveTo(dst, b []float64) }
 	var prec sparse.Preconditioner
+	var ws *sparse.PCGWorkspace
 	var err error
 	switch kind {
 	case Direct:
@@ -219,6 +210,10 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		return nil, fmt.Errorf("%w: solver PCGAMG is not supported in transient analysis", ErrTransient)
 	default:
 		return nil, fmt.Errorf("%w: unknown solver %d", ErrTransient, kind)
+	}
+	if prec != nil {
+		// One scratch workspace serves every step's PCG solve.
+		ws = sparse.NewPCGWorkspace(nn)
 	}
 
 	// Inductor current state at the operating point: solve from branch
@@ -282,7 +277,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		if chol != nil {
 			chol.SolveTo(v, rhs)
 		} else {
-			x, _, err := sparse.PCG(a, rhs, v, prec, tol, maxIter)
+			x, _, err := sparse.PCGW(a, rhs, v, prec, tol, maxIter, ws)
 			if err != nil {
 				return nil, fmt.Errorf("%w: step %d: %v", ErrTransient, step, err)
 			}

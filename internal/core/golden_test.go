@@ -11,11 +11,17 @@ import (
 
 // Golden regression tests pin the reproduced paper numbers: Table 1,
 // Table 2 and the Headlines summary are snapshotted as JSON under
-// testdata/golden. Performance work (parallelism, solver changes) must
-// not drift these values; a deliberate model change regenerates them
-// with
+// testdata/golden and compared byte for byte. Performance work
+// (parallelism, batching, tracing) must not drift these values. A
+// deliberate model change regenerates them with
 //
 //	go test ./internal/core -run TestGolden -update
+//
+// A solver-policy change (Auto picking another kind for some system)
+// moves the Headlines in their last digits. It regenerates the golden
+// together with the cross-solver agreement test
+// (pdngrid.TestSolverKindsAgree), which must pass first: it bounds how
+// far the kinds may drift apart.
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/golden")
 
 func checkGolden(t *testing.T, name string, v any) {

@@ -100,6 +100,7 @@ func solvePair(t *testing.T, cfg Config, acts [][]float64) (*Result, *Result) {
 
 var preparedKinds = []circuit.SolverKind{
 	circuit.Auto, circuit.Direct, circuit.DirectSparseND, circuit.PCGIC0, circuit.PCGJacobi,
+	circuit.PCGAMG,
 }
 
 // TestPreparedMatchesFreshOpenLoop is the PDN-level equivalence contract:
