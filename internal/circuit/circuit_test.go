@@ -278,10 +278,10 @@ func TestChoosePolicy(t *testing.T) {
 		dc, step SolverKind
 	}{
 		{4000, Direct, Direct},
-		{4001, PCGAMG, PCGIC0},
-		{49_000, PCGAMG, PCGIC0},
-		{200_000, PCGAMG, PCGIC0},
-		{1_000_000, PCGAMG, PCGIC0},
+		{4001, PCGAMG, DirectSparseND},
+		{49_000, PCGAMG, DirectSparseND},
+		{200_000, PCGAMG, DirectSparseND},
+		{1_000_000, PCGAMG, DirectSparseND},
 	}
 	for _, c := range cases {
 		if got := choosePolicy(dcMatrix, c.nodes); got != c.dc {

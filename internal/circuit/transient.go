@@ -6,6 +6,15 @@ import (
 	"math"
 
 	"voltstack/internal/sparse"
+	"voltstack/internal/telemetry"
+)
+
+// Transient layer timing: the step-matrix factorization (or preconditioner
+// build) and the whole step loop, one sample each per run. Both are no-ops
+// while telemetry is off.
+var (
+	mTransientFactorSeconds = telemetry.NewHistogram("circuit_transient_factor_seconds")
+	mTransientStepsSeconds  = telemetry.NewHistogram("circuit_transient_steps_seconds")
 )
 
 // CapID identifies a capacitor.
@@ -125,35 +134,11 @@ func (r *TransientResult) MaxV(p int) float64 {
 // ErrTransient wraps transient-analysis failures.
 var ErrTransient = errors.New("circuit: transient analysis failed")
 
-// Transient integrates the network with backward Euler at fixed step DT,
-// recording the given probe nodes. Static loads keep their DC values;
-// transient loads follow their functions; capacitors and inductors use
-// companion models. The step matrix is factored once (direct solver) or
-// warm-started (iterative), so long runs are cheap.
-func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
-	if opts.DT <= 0 || opts.Steps <= 0 {
-		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
-	}
-	for _, p := range probes {
-		n.checkNode(p)
-	}
-	if err := n.CheckConnectivity(); err != nil {
-		return nil, err
-	}
+// StepMatrix assembles the constant backward-Euler step matrix for time
+// step dt — conductances plus the C/dt and dt/L companion terms — and the
+// step right-hand side's static part: rail-tie injections and DC loads.
+func (n *Netlist) StepMatrix(dt float64) (*sparse.CSR, []float64) {
 	nn := n.numNodes
-	dt := opts.DT
-
-	// Initial condition.
-	v := make([]float64, nn)
-	if opts.InitDC {
-		dc, err := n.Solve(opts.Solve)
-		if err != nil {
-			return nil, fmt.Errorf("%w: DC init: %v", ErrTransient, err)
-		}
-		copy(v, dc.v)
-	}
-
-	// Assemble the constant step matrix: conductances + C/dt + dt/L.
 	b := sparse.NewBuilder(nn)
 	rhsBase := make([]float64, nn)
 	for _, r := range n.resistors {
@@ -180,10 +165,43 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 	for _, l := range n.inductors {
 		stampConductance(b, l.a, l.b, dt/l.l)
 	}
-	a := b.ToCSR()
+	return b.ToCSR(), rhsBase
+}
 
+// Transient integrates the network with backward Euler at fixed step DT,
+// recording the given probe nodes. Static loads keep their DC values;
+// transient loads follow their functions; capacitors and inductors use
+// companion models. The step matrix is factored once (direct solver) or
+// warm-started (iterative), so long runs are cheap: with a direct solver
+// each step is two triangular sweeps and allocates nothing.
+func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResult, error) {
+	if opts.DT <= 0 || opts.Steps <= 0 {
+		return nil, fmt.Errorf("%w: need positive DT and Steps", ErrTransient)
+	}
+	for _, p := range probes {
+		n.checkNode(p)
+	}
+	if err := n.CheckConnectivity(); err != nil {
+		return nil, err
+	}
+	nn := n.numNodes
+	dt := opts.DT
+
+	// Initial condition.
+	v := make([]float64, nn)
+	if opts.InitDC {
+		dc, err := n.Solve(opts.Solve)
+		if err != nil {
+			return nil, fmt.Errorf("%w: DC init: %v", ErrTransient, err)
+		}
+		copy(v, dc.v)
+	}
+
+	a, rhsBase := n.StepMatrix(dt)
+
+	t0 := telemetry.Now()
 	kind, tol, maxIter := opts.Solve.resolve(stepMatrix, nn)
-	var chol interface{ SolveTo(dst, b []float64) }
+	var chol interface{ SolveScratch(dst, b, work []float64) }
 	var prec sparse.Preconditioner
 	var ws *sparse.PCGWorkspace
 	var err error
@@ -215,6 +233,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		// One scratch workspace serves every step's PCG solve.
 		ws = sparse.NewPCGWorkspace(nn)
 	}
+	mTransientFactorSeconds.Since(t0)
 
 	// Inductor current state at the operating point: solve from branch
 	// voltage is zero at a true DC point (ideal shorts), so the DC
@@ -229,19 +248,26 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 	}
 
-	res := &TransientResult{Probes: append([]int(nil), probes...)}
+	// Waveforms are sized up front, so the step loop never grows them.
+	res := &TransientResult{
+		Times:  make([]float64, 0, opts.Steps+1),
+		Probes: append([]int(nil), probes...),
+		V:      make([][]float64, len(probes)),
+	}
+	for i := range res.V {
+		res.V[i] = make([]float64, 0, opts.Steps+1)
+	}
 	record := func(t float64) {
 		res.Times = append(res.Times, t)
-		if res.V == nil {
-			res.V = make([][]float64, len(probes))
-		}
 		for i, p := range probes {
 			res.V[i] = append(res.V[i], nodeV(v, p))
 		}
 	}
 	record(0)
 
+	t0 = telemetry.Now()
 	rhs := make([]float64, nn)
+	work := make([]float64, nn)
 	for step := 1; step <= opts.Steps; step++ {
 		t := float64(step) * dt
 		copy(rhs, rhsBase)
@@ -275,7 +301,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 
 		if chol != nil {
-			chol.SolveTo(v, rhs)
+			chol.SolveScratch(v, rhs, work)
 		} else {
 			x, _, err := sparse.PCGW(a, rhs, v, prec, tol, maxIter, ws)
 			if err != nil {
@@ -288,6 +314,7 @@ func (n *Netlist) Transient(opts TransientOptions, probes []int) (*TransientResu
 		}
 		record(t)
 	}
+	mTransientStepsSeconds.Since(t0)
 	return res, nil
 }
 

@@ -3,9 +3,11 @@ package circuit
 import (
 	"errors"
 	"math"
+	"runtime/debug"
 	"strings"
 	"testing"
 
+	"voltstack/internal/telemetry"
 	"voltstack/internal/units"
 )
 
@@ -282,5 +284,83 @@ func TestDCSolveWithDynamicElements(t *testing.T) {
 	}
 	if !units.ApproxEqual(s.V(b), 0.5, 1e-4, 1e-4) {
 		t.Errorf("V(b) = %g, want ~0.5 (inductor ~ short)", s.V(b))
+	}
+}
+
+// meshRC builds an nodes-node RC ladder mesh (rows of 50) with pad ties
+// along the first row, decap on every node and one stepped load at the far
+// corner.
+func meshRC(nodes int) *Netlist {
+	const w = 50
+	n := New()
+	ids := n.Nodes(nodes)
+	for i, id := range ids {
+		if i%w+1 < w && i+1 < nodes {
+			n.AddResistor(id, ids[i+1], 0.1)
+		}
+		if i+w < nodes {
+			n.AddResistor(id, ids[i+w], 0.1)
+		}
+		if i < w {
+			n.AddRailTie(id, 0.5, 1)
+		}
+		n.AddCapacitor(id, Ground, 1e-12)
+	}
+	n.AddTransientLoad(ids[nodes-1], Ground, func(t float64) float64 {
+		if t > 0 {
+			return 0.1
+		}
+		return 0.01
+	})
+	return n
+}
+
+// TestTransientStepsAllocateNothing pins that a transient run's allocation
+// count does not grow with Steps: at the direct threshold (skyline) and
+// just above it (sparse-ND), the step loop solves in fixed scratch. The
+// collector is paused while counting, because a cycle that lands inside
+// the run adds a few runtime allocations of its own.
+func TestTransientStepsAllocateNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, nodes := range []int{directThreshold, directThreshold + 1} {
+		n := meshRC(nodes)
+		probes := []int{0, nodes - 1}
+		allocs := func(steps int) float64 {
+			return testing.AllocsPerRun(1, func() {
+				if _, err := n.Transient(TransientOptions{DT: 1e-11, Steps: steps, InitDC: true}, probes); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a10, a100 := allocs(10), allocs(100); a100 != a10 {
+			t.Errorf("%d nodes: %.0f allocations at 100 steps vs %.0f at 10", nodes, a100, a10)
+		}
+	}
+}
+
+// TestTransientLayerTiming checks that a transient run records one sample
+// in each transient layer histogram while telemetry is on, and none while
+// it is off.
+func TestTransientLayerTiming(t *testing.T) {
+	n := meshRC(100)
+	run := func() {
+		if _, err := n.Transient(TransientOptions{DT: 1e-11, Steps: 5, InitDC: true}, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hists := []*telemetry.Histogram{mTransientFactorSeconds, mTransientStepsSeconds}
+	counts := func() []int64 {
+		return []int64{hists[0].Count(), hists[1].Count()}
+	}
+	before := counts()
+	run()
+	if got := counts(); got[0] != before[0] || got[1] != before[1] {
+		t.Fatalf("telemetry off: histogram counts moved %v -> %v", before, got)
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	run()
+	if got := counts(); got[0] != before[0]+1 || got[1] != before[1]+1 {
+		t.Errorf("telemetry on: histogram counts %v -> %v, want one sample each", before, got)
 	}
 }

@@ -120,3 +120,76 @@ func TestSolverKindsAgree(t *testing.T) {
 		}
 	}
 }
+
+// transientAgreementSteps is the load-step run length of the transient
+// agreement check: long enough to span the first droop.
+const transientAgreementSteps = 50
+
+// TestTransientSolverKindsAgree is the transient counterpart of
+// TestSolverKindsAgree: for regular and voltage-stacked 4-layer PDNs just
+// above the direct threshold, a load-step run with the sparse-ND direct
+// factor (Auto's transient pick there) and one with IC(0)-PCG at a 1e-12
+// residual agree within agreementTol relative — in worst droop, in the
+// worst-layer droop waveform and in every probe sample.
+func TestTransientSolverKindsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 2 transient PDNs above 4000 nodes with two solver kinds")
+	}
+	for _, arch := range []string{"regular", "stacked"} {
+		t.Run(arch, func(t *testing.T) {
+			t.Parallel()
+			var cfg Config
+			if arch == "regular" {
+				cfg = regularCfg(4, SparseTSV())
+			} else {
+				cfg = vsCfg(4, 4)
+			}
+			cfg.Params.GridNx = agreementMesh[4]
+			cfg.Params.GridNy = agreementMesh[4]
+			p, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc := DefaultTransient()
+			tc.Steps = transientAgreementSteps
+			asm, probes, _, err := p.assembleTransient(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nn := asm.net.NumNodes(); nn <= 4000 {
+				t.Fatalf("%d nodes, want > 4000 so Auto picks sparse-ND", nn)
+			}
+			type run struct {
+				droop *TransientResult
+				waves *circuit.TransientResult
+			}
+			solve := func(kind circuit.SolverKind) run {
+				opts := circuit.SolveOptions{Solver: kind, Tol: agreementPCGTol}
+				p.Cfg.Solve = opts
+				droop, err := p.SolveTransient(tc)
+				if err != nil {
+					t.Fatalf("kind %d: %v", kind, err)
+				}
+				waves, err := asm.net.Transient(circuit.TransientOptions{
+					DT: tc.DT, Steps: tc.Steps, InitDC: true, Solve: opts,
+				}, probes)
+				if err != nil {
+					t.Fatalf("kind %d: %v", kind, err)
+				}
+				return run{droop, waves}
+			}
+			ref := solve(circuit.DirectSparseND)
+			got := solve(circuit.PCGIC0)
+			check := func(field string, got, want []float64) {
+				if d := relDiff(got, want); !(d <= agreementTol) {
+					t.Errorf("PCGIC0: %s deviates %.3g relative from DirectSparseND, want <= %g", field, d, agreementTol)
+				}
+			}
+			check("WorstDroopFrac", []float64{got.droop.WorstDroopFrac}, []float64{ref.droop.WorstDroopFrac})
+			check("Droop", got.droop.Droop, ref.droop.Droop)
+			for i, node := range probes {
+				check(fmt.Sprintf("probe %d (node %d)", i, node), got.waves.V[i], ref.waves.V[i])
+			}
+		})
+	}
+}

@@ -76,17 +76,60 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 	if err := tc.Validate(); err != nil {
 		return nil, err
 	}
+	asm, probes, probeLayer, err := p.assembleTransient(tc)
+	if err != nil {
+		return nil, err
+	}
+	cfg := p.Cfg
+	tr, err := asm.net.Transient(circuit.TransientOptions{
+		DT:     tc.DT,
+		Steps:  tc.Steps,
+		InitDC: true,
+		Solve:  cfg.Solve,
+	}, probes)
+	if err != nil {
+		return nil, fmt.Errorf("pdngrid: transient: %v", err)
+	}
+
+	res := &TransientResult{WorstDroopFrac: math.Inf(-1)}
+	vdd := cfg.Params.Vdd
+	var worstPair int
+	for pr := 0; pr < len(probes)/2; pr++ {
+		for k := range tr.Times {
+			v := tr.V[2*pr][k] - tr.V[2*pr+1][k]
+			droop := (vdd - v) / vdd
+			if droop > res.WorstDroopFrac {
+				res.WorstDroopFrac = droop
+				res.WorstLayer = probeLayer[pr]
+				worstPair = pr
+			}
+		}
+	}
+	res.Times = append(res.Times, tr.Times...)
+	for k := range tr.Times {
+		v := tr.V[2*worstPair][k] - tr.V[2*worstPair+1][k]
+		res.Droop = append(res.Droop, (vdd-v)/vdd)
+	}
+	res.FinalDroopFrac = res.Droop[len(res.Droop)-1]
+	return res, nil
+}
+
+// assembleTransient builds the load-step network of tc — the PDN plus
+// decap and package inductance, with loads that step at t=0 — and the
+// probe nodes: both meshes of every core tile's central cell on every
+// layer, with each probe pair's layer.
+func (p *PDN) assembleTransient(tc TransientConfig) (*assembled, []int, []int, error) {
 	cfg := p.Cfg
 	cores := cfg.Chip.NumCores()
 
 	// Full-activity load map scaled over time between rest and step.
 	pm, err := cfg.Chip.PowerMap(UniformActivities(1, cores, 1)[0])
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	cells, err := p.raster.Distribute(p.fp.Blocks, pm)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	for i := range cells {
 		cells[i] /= cfg.Params.Vdd
@@ -123,8 +166,7 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 
 	// Probes: the central cell of every core tile, on both meshes of
 	// every layer.
-	var probes []int
-	var probeLayer []int
+	var probes, probeLayer []int
 	for _, tile := range p.fp.Tiles {
 		cx, cy := tile.Center()
 		ix, iy := p.raster.CellOf(cx, cy)
@@ -134,36 +176,5 @@ func (p *PDN) SolveTransient(tc TransientConfig) (*TransientResult, error) {
 			probeLayer = append(probeLayer, l)
 		}
 	}
-
-	tr, err := asm.net.Transient(circuit.TransientOptions{
-		DT:     tc.DT,
-		Steps:  tc.Steps,
-		InitDC: true,
-		Solve:  cfg.Solve,
-	}, probes)
-	if err != nil {
-		return nil, fmt.Errorf("pdngrid: transient: %v", err)
-	}
-
-	res := &TransientResult{WorstDroopFrac: math.Inf(-1)}
-	vdd := cfg.Params.Vdd
-	var worstPair int
-	for pr := 0; pr < len(probes)/2; pr++ {
-		for k := range tr.Times {
-			v := tr.V[2*pr][k] - tr.V[2*pr+1][k]
-			droop := (vdd - v) / vdd
-			if droop > res.WorstDroopFrac {
-				res.WorstDroopFrac = droop
-				res.WorstLayer = probeLayer[pr]
-				worstPair = pr
-			}
-		}
-	}
-	res.Times = append(res.Times, tr.Times...)
-	for k := range tr.Times {
-		v := tr.V[2*worstPair][k] - tr.V[2*worstPair+1][k]
-		res.Droop = append(res.Droop, (vdd-v)/vdd)
-	}
-	res.FinalDroopFrac = res.Droop[len(res.Droop)-1]
-	return res, nil
+	return asm, probes, probeLayer, nil
 }

@@ -3,6 +3,7 @@ package pdngrid
 import (
 	"testing"
 
+	"voltstack/internal/sparse"
 	"voltstack/internal/units"
 )
 
@@ -148,5 +149,43 @@ func TestTransientNoEventNoDroop(t *testing.T) {
 	if !units.ApproxEqual(r.WorstDroopFrac, r.FinalDroopFrac, 5e-4, 5e-3) {
 		t.Errorf("flat event should not ring: worst %g vs final %g",
 			r.WorstDroopFrac, r.FinalDroopFrac)
+	}
+}
+
+// TestDecapStepFactorFill pins the nested-dissection fill of the 4-layer
+// voltage-stacked decap PDN's transient step matrix, the system Auto
+// factors once per transient run above the direct threshold. Numbering
+// the two package hub nodes last keeps the factor near the hub-free
+// mesh's fill; dissecting them with the mesh gave 184k and 983k entries.
+func TestDecapStepFactorFill(t *testing.T) {
+	for _, c := range []struct {
+		mesh, nodes, maxNNZ int
+	}{
+		{16, 2052, 135_000},
+		{32, 8196, 800_000},
+	} {
+		cfg := vsCfg(4, 8)
+		cfg.Params.GridNx, cfg.Params.GridNy = c.mesh, c.mesh
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := DefaultTransient()
+		asm, _, _, err := p.assembleTransient(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := asm.net.StepMatrix(tc.DT)
+		if a.N() != c.nodes {
+			t.Fatalf("%dx%d: step matrix has %d nodes, want %d", c.mesh, c.mesh, a.N(), c.nodes)
+		}
+		f, err := sparse.FactorSparse(a, sparse.OrderND)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.NNZ() >= c.maxNNZ {
+			t.Errorf("%dx%d: factor holds %d entries, want < %d", c.mesh, c.mesh, f.NNZ(), c.maxNNZ)
+		}
+		t.Logf("%dx%d: %d nodes, factor NNZ %d", c.mesh, c.mesh, a.N(), f.NNZ())
 	}
 }

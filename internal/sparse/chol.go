@@ -180,17 +180,27 @@ func (f *SkylineChol) N() int { return f.n }
 // Solve returns x with A*x = b. b is not modified.
 func (f *SkylineChol) Solve(b []float64) []float64 {
 	x := make([]float64, f.n)
-	f.SolveTo(x, b)
+	f.SolveScratch(x, b, make([]float64, f.n))
 	return x
 }
 
 // SolveTo is like Solve but writes into dst (len n) and reuses it.
 func (f *SkylineChol) SolveTo(dst, b []float64) {
-	if len(b) != f.n || len(dst) != f.n {
+	f.SolveScratch(dst, b, make([]float64, f.n))
+}
+
+// SolveScratch writes the solution of A*x = b into dst, using work (len n)
+// for the permuted right-hand side, and allocates nothing. dst may alias
+// b; work must alias neither.
+func (f *SkylineChol) SolveScratch(dst, b, work []float64) {
+	if len(b) != f.n || len(dst) != f.n || len(work) != f.n {
 		panic("sparse: Solve dimension mismatch")
 	}
 	// Permute RHS into factor ordering.
-	y := PermuteVec(f.perm, b)
+	y := work
+	for i, p := range f.perm {
+		y[p] = b[i]
+	}
 
 	// Forward substitution: L*y' = y.
 	for i := 0; i < f.n; i++ {

@@ -34,10 +34,12 @@ type SparseChol struct {
 
 // SparseCholSymbolic is the structure-only half of FactorSparse: the
 // fill-reducing permutation, the permuted lower-triangle structure with a
-// value map from the original matrix, the elimination tree, and the
-// per-row factor patterns (including fill). It is computed once per
-// sparsity structure; Refactor then numerically factors any matrix with
-// that structure, skipping ordering, permutation and symbolic analysis.
+// value map from the original matrix, the elimination tree, and the factor
+// column structure (including fill). It is computed once per sparsity
+// structure; Refactor then numerically factors any matrix with that
+// structure, skipping ordering, permutation and symbolic analysis. Row
+// patterns are not stored: Refactor recomputes each row's reach from the
+// elimination tree, in the same topological order.
 type SparseCholSymbolic struct {
 	n    int
 	perm []int
@@ -46,9 +48,8 @@ type SparseCholSymbolic struct {
 	low    *CSR    // permuted lower triangle (values are scratch)
 	lowMap []int32 // original CSR entry -> low val index, or -1
 
-	patPtr []int32 // row i's factor pattern is pattern[patPtr[i]:patPtr[i+1]]
-	patRow []int32 // concatenated patterns, topological order per row
-	colRow [][]int32
+	parent []int     // elimination tree of low
+	colRow [][]int32 // below-diagonal rows per column; supernode chains share storage
 }
 
 // FactorSparse computes the sparse Cholesky factorization of the SPD
@@ -108,44 +109,45 @@ func NewSparseCholSymbolic(a *CSR, ord Ordering) (*SparseCholSymbolic, error) {
 		})
 	}
 
-	// Elimination tree and per-row factor patterns (with fill), stored in
-	// the exact topological order the numeric phase consumes them in.
-	parent := EliminationTree(s.low)
+	// Elimination tree and factor column counts (with fill).
+	s.parent = EliminationTree(s.low)
 	mark := make([]int, n)
 	stack := make([]int, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	s.patPtr = make([]int32, n+1)
 	counts := make([]int32, n)
 	for i := 0; i < n; i++ {
-		pattern := etreeReach(s.low, i, parent, mark, stack)
-		s.patPtr[i+1] = s.patPtr[i] + int32(len(pattern))
-		s.patRow = append(s.patRow, make([]int32, len(pattern))...)
-		copy32(s.patRow[s.patPtr[i]:s.patPtr[i+1]], pattern)
-		for _, j := range pattern {
+		for _, j := range etreeReach(s.low, i, s.parent, mark, stack) {
 			counts[j]++
 		}
 	}
 	// Factor column structure: column j holds every row i whose pattern
 	// contains j, in ascending row order (the order the numeric phase
-	// emits them).
+	// emits them). In a supernode chain — parent(j) = j+1 and
+	// count(j) = count(j+1)+1 — column j is {j+1} followed by column j+1,
+	// so column j+1 is a subslice of column j's storage, one element in.
 	s.colRow = make([][]int32, n)
 	for j := 0; j < n; j++ {
-		s.colRow[j] = make([]int32, 0, counts[j])
+		if j > 0 && s.parent[j-1] == j && counts[j-1] == counts[j]+1 {
+			s.colRow[j] = s.colRow[j-1][1:]
+		} else {
+			s.colRow[j] = make([]int32, counts[j])
+		}
+	}
+	// Fill each column in row order; shared chain slots receive the same
+	// row from every column that covers them.
+	fill := make([]int32, n)
+	for i := range mark {
+		mark[i] = -1
 	}
 	for i := 0; i < n; i++ {
-		for _, j := range s.patRow[s.patPtr[i]:s.patPtr[i+1]] {
-			s.colRow[j] = append(s.colRow[j], int32(i))
+		for _, j := range etreeReach(s.low, i, s.parent, mark, stack) {
+			s.colRow[j][fill[j]] = int32(i)
+			fill[j]++
 		}
 	}
 	return s, nil
-}
-
-func copy32(dst []int32, src []int) {
-	for i, v := range src {
-		dst[i] = int32(v)
-	}
 }
 
 // entryIndex returns the val index of entry (i, j), or -1 if not stored.
@@ -200,10 +202,17 @@ func (s *SparseCholSymbolic) Refactor(a *CSR, f *SparseChol) (*SparseChol, error
 		}
 	}
 
-	// Up-looking numeric factorization over the cached patterns; the
-	// arithmetic sequence matches the from-scratch FactorSparse exactly.
+	// Up-looking numeric factorization. Each row's pattern is recomputed
+	// from the elimination tree in the symbolic phase's topological order,
+	// so the arithmetic sequence matches the from-scratch FactorSparse
+	// exactly.
 	x := make([]float64, n)
 	cnt := make([]int32, n) // filled prefix of each factor column
+	mark := make([]int, n)
+	stack := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
 	for i := 0; i < n; i++ {
 		var d float64
 		low.Row(i, func(j int, v float64) {
@@ -213,8 +222,7 @@ func (s *SparseCholSymbolic) Refactor(a *CSR, f *SparseChol) (*SparseChol, error
 				x[j] = v
 			}
 		})
-		for _, j32 := range s.patRow[s.patPtr[i]:s.patPtr[i+1]] {
-			j := int(j32)
+		for _, j := range etreeReach(low, i, s.parent, mark, stack) {
 			lij := x[j] / f.diag[j]
 			x[j] = 0
 			rows := s.colRow[j][:cnt[j]]
@@ -248,10 +256,27 @@ func (f *SparseChol) NNZ() int {
 
 // Solve returns x with A·x = b.
 func (f *SparseChol) Solve(b []float64) []float64 {
-	if len(b) != f.n {
+	x := make([]float64, f.n)
+	f.SolveScratch(x, b, make([]float64, f.n))
+	return x
+}
+
+// SolveTo writes the solution into dst.
+func (f *SparseChol) SolveTo(dst, b []float64) {
+	f.SolveScratch(dst, b, make([]float64, f.n))
+}
+
+// SolveScratch writes the solution of A·x = b into dst, using work (len n)
+// for the permuted right-hand side, and allocates nothing. dst may alias
+// b; work must alias neither.
+func (f *SparseChol) SolveScratch(dst, b, work []float64) {
+	if len(b) != f.n || len(dst) != f.n || len(work) != f.n {
 		panic("sparse: Solve dimension mismatch")
 	}
-	y := PermuteVec(f.perm, b)
+	y := work
+	for i, p := range f.perm {
+		y[p] = b[i]
+	}
 	// Forward: L y' = y (column-oriented sweep).
 	for j := 0; j < f.n; j++ {
 		y[j] /= f.diag[j]
@@ -272,14 +297,7 @@ func (f *SparseChol) Solve(b []float64) []float64 {
 		}
 		y[j] = s / f.diag[j]
 	}
-	x := make([]float64, f.n)
 	for nw, old := range f.inv {
-		x[old] = y[nw]
+		dst[old] = y[nw]
 	}
-	return x
-}
-
-// SolveTo writes the solution into dst.
-func (f *SparseChol) SolveTo(dst, b []float64) {
-	copy(dst, f.Solve(b))
 }

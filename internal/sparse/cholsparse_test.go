@@ -308,3 +308,31 @@ func BenchmarkSparseCholND3DGrid(b *testing.B) {
 		}
 	}
 }
+
+// TestScratchSolvesAllocateNothing pins that both direct factors' scratch
+// solves — the per-step path of a transient run — allocate nothing.
+func TestScratchSolvesAllocateNothing(t *testing.T) {
+	a := grid3D(8, 8, 4, 0.1)
+	n := a.N()
+	b := randVec(n, rand.New(rand.NewSource(3)))
+	dst, work := make([]float64, n), make([]float64, n)
+	sky, err := FactorCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := FactorSparse(a, OrderND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		f    interface{ SolveScratch(dst, b, work []float64) }
+	}{{"skyline", sky}, {"sparse-ND", nd}} {
+		if allocs := testing.AllocsPerRun(10, func() { c.f.SolveScratch(dst, b, work) }); allocs != 0 {
+			t.Errorf("%s: SolveScratch allocated %.0f times, want 0", c.name, allocs)
+		}
+		if res := residual(a, dst, b); res > 1e-10 {
+			t.Errorf("%s: residual %g", c.name, res)
+		}
+	}
+}

@@ -34,28 +34,34 @@ func EliminationTree(a *CSR) []int {
 // is returned in topological (ascending-dependency) order in stack[top:].
 //
 // mark is a scratch array (len n) holding the last row each node was
-// visited for; stack is a scratch array (len n).
+// visited for; stack is a scratch array (len n). Each path is collected at
+// the bottom of stack and then moved onto its top (CSparse's cs_ereach):
+// the path and the pattern hold distinct nodes, so they never overlap, and
+// the walk allocates nothing.
 func etreeReach(a *CSR, i int, parent []int, mark []int, stack []int) []int {
 	top := len(stack)
 	mark[i] = i // never include the diagonal itself
-	a.Row(i, func(j int, _ float64) {
+	for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+		j := int(a.col[k])
 		if j >= i {
-			return
+			continue
 		}
 		// Walk up the tree collecting unvisited nodes in path order.
-		var path []int
+		length := 0
 		for j != -1 && j < i && mark[j] != i {
 			mark[j] = i
-			path = append(path, j)
+			stack[length] = j
+			length++
 			j = parent[j]
 		}
-		// Prepend the (reversed) path onto the stack so ancestors come
-		// after descendants overall.
-		for k := len(path) - 1; k >= 0; k-- {
+		// Move the path onto the top of the stack, keeping its order, so
+		// ancestors come after descendants overall.
+		for length > 0 {
 			top--
-			stack[top] = path[k]
+			length--
+			stack[top] = stack[length]
 		}
-	})
+	}
 	return stack[top:]
 }
 

@@ -64,3 +64,64 @@ func FuzzBatchSerialEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzNestedDissection fuzzes the hub-last nested-dissection ordering over
+// random SPD mesh-plus-hub matrices: the permutation must be a bijection,
+// every vertex with deg² > n must be numbered last in ascending index
+// order, and the FactorSparse solution must reach a relative residual
+// below 1e-10.
+func FuzzNestedDissection(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(16), uint8(2), uint8(2), uint8(60))
+	f.Add(int64(7), uint8(8), uint8(8), uint8(4), uint8(1), uint8(20))
+	f.Add(int64(-3), uint8(3), uint8(1), uint8(1), uint8(3), uint8(2))
+	f.Add(int64(42), uint8(20), uint8(5), uint8(3), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nxRaw, nyRaw, nzRaw, hubsRaw, degRaw uint8) {
+		nx, ny, nz := 1+int(nxRaw)%24, 1+int(nyRaw)%24, 1+int(nzRaw)%6
+		hubs := int(hubsRaw) % 4
+		a := GridHubSPD(nx, ny, nz, hubs, 1+int(degRaw), seed)
+		n := a.N()
+
+		perm := sparse.NestedDissection(a)
+		seen := make([]bool, n)
+		for old, p := range perm {
+			if p < 0 || p >= n || seen[p] {
+				t.Fatalf("seed=%d %dx%dx%d hubs=%d: perm[%d] = %d is not a bijection", seed, nx, ny, nz, hubs, old, p)
+			}
+			seen[p] = true
+		}
+		var want []int // vertices with deg² > n, ascending
+		for v := 0; v < n; v++ {
+			deg := 0
+			a.Row(v, func(j int, _ float64) {
+				if j != v {
+					deg++
+				}
+			})
+			if deg*deg > n {
+				want = append(want, v)
+			}
+		}
+		for k, v := range want {
+			if p := n - len(want) + k; perm[v] != p {
+				t.Fatalf("seed=%d %dx%dx%d hubs=%d: hub %d numbered %d, want %d", seed, nx, ny, nz, hubs, v, perm[v], p)
+			}
+		}
+
+		fac, err := sparse.FactorSparse(a, sparse.OrderND)
+		if err != nil {
+			t.Fatalf("seed=%d %dx%dx%d hubs=%d: %v", seed, nx, ny, nz, hubs, err)
+		}
+		b := RandomRHS(n, seed+1)
+		x := fac.Solve(b)
+		r := make([]float64, n)
+		a.MulVec(x, r)
+		var num, den float64
+		for i := range r {
+			num += (r[i] - b[i]) * (r[i] - b[i])
+			den += b[i] * b[i]
+		}
+		if res := math.Sqrt(num / den); !(res < 1e-10) {
+			t.Fatalf("seed=%d %dx%dx%d hubs=%d: relative residual %g", seed, nx, ny, nz, hubs, res)
+		}
+	})
+}

@@ -92,6 +92,52 @@ func Grid3D(nx, ny, nz int, ground float64) *sparse.CSR {
 	return b.ToCSR()
 }
 
+// GridHubSPD builds an nx x ny x nz mesh like Grid3D, with random
+// segment conductances, plus hubs extra vertices n..n+hubs−1 — the
+// package nodes of a PDN, which tie many pads together. Each hub connects
+// to hubDeg distinct random mesh nodes. A small ground tie on every
+// diagonal makes the matrix strictly SPD.
+func GridHubSPD(nx, ny, nz, hubs, hubDeg int, seed int64) *sparse.CSR {
+	rng := NewRand(seed)
+	n := nx * ny * nz
+	b := sparse.NewBuilder(n + hubs)
+	idx := func(x, y, z int) int { return (z*ny+y)*nx + x }
+	edge := func(i, j int) {
+		g := 0.1 + 10*rng.Float64()
+		b.Add(i, i, g)
+		b.Add(j, j, g)
+		b.AddSym(i, j, -g)
+	}
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				i := idx(x, y, z)
+				b.Add(i, i, 1e-3)
+				if x+1 < nx {
+					edge(i, idx(x+1, y, z))
+				}
+				if y+1 < ny {
+					edge(i, idx(x, y+1, z))
+				}
+				if z+1 < nz {
+					edge(i, idx(x, y, z+1))
+				}
+			}
+		}
+	}
+	if hubDeg > n {
+		hubDeg = n
+	}
+	for h := 0; h < hubs; h++ {
+		hub := n + h
+		b.Add(hub, hub, 1e-3)
+		for _, i := range rng.Perm(n)[:hubDeg] {
+			edge(i, hub)
+		}
+	}
+	return b.ToCSR()
+}
+
 func stampUnit(b *sparse.Builder, i, j int) {
 	b.Add(i, i, 1)
 	b.Add(j, j, 1)
