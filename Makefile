@@ -60,14 +60,16 @@ bench-telemetry:
 
 # fuzz runs every fuzz target for 30s: CSV parsing, job-request decoding,
 # the cache-fingerprint keying contract, batch-vs-serial solver
-# equivalence, the hub-last nested-dissection ordering and the EM lifetime
-# root finder. (`go test -fuzz` takes one target per invocation.)
+# equivalence, the hub-last nested-dissection ordering, AMG on
+# voltage-stacked rail meshes and the EM lifetime root finder.
+# (`go test -fuzz` takes one target per invocation.)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzParseCSV -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 30s
 	$(GO) test ./internal/pdngrid -run '^$$' -fuzz FuzzCacheFingerprint -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzBatchSerialEquivalence -fuzztime 30s
 	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzNestedDissection -fuzztime 30s
+	$(GO) test ./internal/sparse/sparsetest -run '^$$' -fuzz FuzzAMGStackedRails -fuzztime 30s
 	$(GO) test ./internal/em -run '^$$' -fuzz FuzzLifetimeAtProb -fuzztime 30s
 
 # golden regenerates the pinned paper-number snapshots after a deliberate

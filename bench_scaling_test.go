@@ -121,7 +121,7 @@ func benchAMGSerial(b *testing.B, nx, ny int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, rhs := range bs {
-			prec, err := sparse.NewAMG(a, sparse.AMGOptions{})
+			prec, err := sparse.NewAMG(a)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func benchAMGBatch(b *testing.B, nx, ny int) {
 	tol, maxIter := 1e-8, 10*a.N()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prec, err := sparse.NewAMG(a, sparse.AMGOptions{})
+		prec, err := sparse.NewAMG(a)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -429,7 +429,7 @@ func (n *Netlist) Solve(opts SolveOptions) (*Solution, error) {
 		case PCGAMG:
 			// Mirror the IC(0) discipline: a hierarchy build failure falls
 			// back to Jacobi rather than failing the solve.
-			if mg, err := sparse.NewAMG(a, sparse.AMGOptions{}); err == nil {
+			if mg, err := sparse.NewAMG(a); err == nil {
 				prec = mg
 			} else {
 				prec = sparse.NewJacobi(a)

@@ -393,7 +393,7 @@ func (p *Prepared) refactor(sp *telemetry.Span) error {
 		// prepared ≡ fresh bit-identical.
 		p.amg, p.amgOK = nil, false
 		spA := sp.Start("amg-build")
-		mg, err := sparse.NewAMG(p.a, sparse.AMGOptions{})
+		mg, err := sparse.NewAMG(p.a)
 		spA.End()
 		if err == nil {
 			p.amg = mg

@@ -173,6 +173,9 @@ func (p *Pool) ForEachN(ctx context.Context, n int, fn func(i int) error) error 
 					}
 					mu.Unlock()
 					cancel()
+					if testHookCancelled != nil {
+						testHookCancelled()
+					}
 				}
 			}
 		}()
@@ -183,6 +186,12 @@ func (p *Pool) ForEachN(ctx context.Context, n int, fn func(i int) error) error 
 	}
 	return ctx.Err()
 }
+
+// testHookCancelled, when non-nil, runs after a failing task's worker has
+// cancelled its ForEachN run. Tests use it to hold the other workers'
+// tasks until the cancellation is visible, which makes the short-circuit
+// deterministic.
+var testHookCancelled func()
 
 // ForEach runs fn over every element of items on p's workers. A nil pool
 // uses DefaultWorkers. Error semantics are those of ForEachN.

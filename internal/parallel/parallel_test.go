@@ -109,22 +109,33 @@ func TestConcurrencyBounded(t *testing.T) {
 }
 
 func TestSingleErrorPropagates(t *testing.T) {
+	const workers, failAt = 4, 17
 	boom := errors.New("boom")
+	// Every task after the failing one holds its worker until the failure
+	// has cancelled the run. Without that, the other workers could drain
+	// the whole tail between task 17 returning and the cancel.
+	cancelled := make(chan struct{})
+	var once sync.Once
+	testHookCancelled = func() { once.Do(func() { close(cancelled) }) }
+	defer func() { testHookCancelled = nil }()
 	var ran atomic.Int64
-	err := NewPool(4).ForEachN(context.Background(), 64, func(i int) error {
+	err := NewPool(workers).ForEachN(context.Background(), 64, func(i int) error {
 		ran.Add(1)
-		if i == 17 {
+		switch {
+		case i == failAt:
 			return boom
+		case i > failAt:
+			<-cancelled
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	// The error must stop the run early: with 64 tasks and the failure a
-	// quarter of the way in, at least the tail must have been skipped.
-	if ran.Load() == 64 {
-		t.Error("error did not short-circuit the remaining tasks")
+	// The error must stop the run early: besides tasks 0..17, only the
+	// tasks already in flight on the other workers may have run.
+	if got := ran.Load(); got > failAt+workers {
+		t.Errorf("%d of 64 tasks ran, want <= %d: error did not short-circuit the remaining tasks", got, failAt+workers)
 	}
 }
 

@@ -59,3 +59,26 @@ func TestConvergenceStatsDirect(t *testing.T) {
 		t.Errorf("direct solve: outer %d total %d, want 1/0", r.OuterIterations, r.TotalSolverIterations)
 	}
 }
+
+// TestVSAMGIterationsFlatInLayers pins rail-preserving AMG aggregation:
+// on voltage-stacked PDNs (Few TSV, 8 converters per core, 32×32 mesh,
+// 8k–49k nodes) AMG-PCG must reach the 1e-10 default residual in at most
+// 32 iterations at 4, 8 and 24 layers, and the 24-layer count may exceed
+// the 4-layer count by at most 30 %. Sign-blind pairing merged rails at
+// coarse levels and needed 34, 42 and 91.
+func TestVSAMGIterationsFlatInLayers(t *testing.T) {
+	iters := map[int]int{}
+	for _, layers := range []int{4, 8, 24} {
+		cfg := vsCfg(layers, 8)
+		cfg.Params.GridNx, cfg.Params.GridNy = 32, 32
+		cfg.Solve = circuit.SolveOptions{Solver: circuit.PCGAMG}
+		r := mustSolve(t, cfg, InterleavedActivities(layers, 16, 0.5))
+		iters[layers] = r.SolverIterations
+		if r.SolverIterations > 32 {
+			t.Errorf("%d layers: AMG-PCG took %d iterations, want <= 32", layers, r.SolverIterations)
+		}
+	}
+	if 10*iters[24] > 13*iters[4] {
+		t.Errorf("24 layers took %d iterations against %d at 4 layers, want <= 1.3x", iters[24], iters[4])
+	}
+}

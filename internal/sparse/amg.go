@@ -1,14 +1,30 @@
 // Aggregation-based algebraic multigrid, used as a PCG preconditioner for
-// grids beyond the reach of IC(0). Conductance matrices of many-layer PDNs
-// are weakly diagonally dominant M-matrices, the textbook-friendly case for
-// unsmoothed pairwise aggregation: greedy strongest-neighbor pairing builds
+// grids beyond the reach of IC(0). Greedy strongest-neighbor pairing builds
 // the aggregates, the Galerkin triple product PᵀAP builds each coarse
 // operator (SPD whenever A is, since P has full column rank), and one
 // symmetric V-cycle — equal weighted-Jacobi pre/post sweeps around a direct
 // skyline solve on the coarsest level — serves as the preconditioner
 // application. Equal sweep counts keep M⁻¹ symmetric positive definite,
-// which PCG requires; ω = 2/3 damps the upper half of the Jacobi spectrum
-// safely because λmax(D⁻¹A) ≤ 2 for weakly diagonally dominant A.
+// which PCG requires.
+//
+// Regular PDNs and thermal grids are weakly diagonally dominant
+// M-matrices. Voltage-stacked PDNs are not: a converter stamps g·ccᵀ with
+// c = (½, ½, −1) on (top, bottom, mid), a positive +g/4 coupling between
+// the two outer rails, and rows that touch converters may exceed
+// diagonal dominance slightly (by ≤ 0.8 % on the paper's PDNs). Gershgorin
+// still bounds λmax(D⁻¹A) ≤ max_i Σ_j |a_ij|/a_ii ≤ 2.008 there, so the
+// weighted-Jacobi smoother with ω = 2/3 keeps ωλmax ≤ 1.34 < 2 and stays
+// an A-norm contraction on every PDN matrix, stacked or not.
+//
+// Aggregation is rail-preserving: a node never pairs across a positive
+// off-diagonal coupling, nor across either other edge of a triangle that
+// a positive coupling closes (a converter's top–mid and bottom–mid
+// edges). Otherwise, once a rail has shrunk to a few aggregates, the
+// converter couplings are the strongest left and aggregates merge
+// different rails; a piecewise-constant P then cannot represent the
+// rail-offset modes that the converters barely resist, and PCG iterations
+// grow with stack depth. M-matrices have no positive off-diagonal, so on
+// them the rule is the plain sign-blind pairing.
 package sparse
 
 import (
@@ -27,34 +43,20 @@ var (
 	mAMGOpComplexity = telemetry.NewGauge("sparse_amg_operator_complexity")
 )
 
-// AMGOptions tunes the multigrid hierarchy. The zero value selects the
-// defaults noted per field.
-type AMGOptions struct {
-	MaxLevels  int     // hierarchy depth cap, including the coarsest (default 25)
-	CoarseSize int     // stop coarsening at or below this many unknowns (default 64)
-	PreSmooth  int     // weighted-Jacobi sweeps before coarse correction (default 1)
-	PostSmooth int     // sweeps after; keep equal to PreSmooth for symmetry (default 1)
-	Omega      float64 // Jacobi damping factor (default 2/3)
-}
-
-func (o AMGOptions) withDefaults() AMGOptions {
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 25
-	}
-	if o.CoarseSize <= 0 {
-		o.CoarseSize = 64
-	}
-	if o.PreSmooth <= 0 {
-		o.PreSmooth = 1
-	}
-	if o.PostSmooth <= 0 {
-		o.PostSmooth = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 2.0 / 3.0
-	}
-	return o
-}
+// The hierarchy's fixed shape. One pre- and one post-smoothing sweep keep
+// the V-cycle symmetric.
+const (
+	amgMaxLevels  = 25      // hierarchy depth cap, including the coarsest
+	amgCoarseSize = 64      // stop coarsening at or below this many unknowns
+	amgOmega      = 2.0 / 3 // weighted-Jacobi damping factor
+	// amgMinShrink is the fraction of a level's unknowns that aggregation
+	// must remove for the coarser level to be kept. Pairwise aggregation
+	// removes about half. On a voltage-stacked matrix's coarsest levels
+	// most couplings are banned and pairing removes only a handful of
+	// nodes per level; a direct factor of that level is cheaper than more
+	// levels.
+	amgMinShrink = 1.0 / 8
+)
 
 // amgLevel is one non-coarsest level of the hierarchy: its operator, the
 // inverse diagonal for Jacobi smoothing, and the aggregate index of every
@@ -81,7 +83,6 @@ type amgLevel struct {
 type AMGPrec struct {
 	levels []*amgLevel
 	coarse *SkylineChol
-	opts   AMGOptions
 	ns     []int // unknowns per level, finest first, coarsest last
 	nnzs   []int // operator nonzeros per level, finest first
 	// V-cycle scratch, one vector per level: xs/bs carry the coarse-level
@@ -94,24 +95,23 @@ type AMGPrec struct {
 // is captured by reference for the finest-level smoother; mutating its
 // values afterwards invalidates the preconditioner (rebuild instead, as
 // with the other factorizations in this package).
-func NewAMG(a *CSR, opts AMGOptions) (*AMGPrec, error) {
+func NewAMG(a *CSR) (*AMGPrec, error) {
 	t0 := telemetry.Now()
 	defer func() { mPrecondBuilds.Add(1); mPrecondSeconds.Since(t0) }()
-	opts = opts.withDefaults()
-	p := &AMGPrec{opts: opts, ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
-	cur := a
-	for cur.N() > opts.CoarseSize && len(p.levels)+1 < opts.MaxLevels {
-		lvl, coarseA, err := coarsenPairwise(cur)
+	p := &AMGPrec{ns: []int{a.N()}, nnzs: []int{a.NNZ()}}
+	cur, signed := a, positiveRows(a)
+	for cur.N() > amgCoarseSize && len(p.levels)+1 < amgMaxLevels {
+		lvl, coarseA, coarseSigned, err := coarsenPairwise(cur, signed)
 		if err != nil {
 			return nil, err
 		}
 		if lvl == nil {
-			break // no coarsening progress; factor what we have
+			break // coarsening stalled; factor what we have
 		}
 		p.levels = append(p.levels, lvl)
 		p.ns = append(p.ns, lvl.nc)
 		p.nnzs = append(p.nnzs, coarseA.NNZ())
-		cur = coarseA
+		cur, signed = coarseA, coarseSigned
 	}
 	f, err := FactorCholesky(cur)
 	if err != nil {
@@ -207,18 +207,27 @@ func (p *AMGPrec) forkScratch() Preconditioner {
 }
 
 // coarsenPairwise aggregates the unknowns of a by greedy strongest-
-// connection pairing (each unvisited node pairs with its largest-|a_ij|
-// unaggregated neighbor; isolated leftovers become singletons) and returns
-// the level plus the Galerkin coarse operator PᵀAP. A nil level signals
-// that no coarsening progress was possible.
-func coarsenPairwise(a *CSR) (*amgLevel, *CSR, error) {
+// connection pairing and returns the level plus the Galerkin coarse
+// operator PᵀAP. Each unvisited node pairs with its largest-|a_ij|
+// unaggregated neighbor across an edge that rail-preserving aggregation
+// allows; leftovers become singletons. An edge is banned when a_ij > 0
+// or when it belongs to a triangle (i, j, p) that a positive a_ip or a_jp
+// closes (see triangles). signed flags the rows of a with a positive
+// off-diagonal, nil when there are none; the coarse operator's flags come
+// back alongside it. A nil level signals that coarsening stalled:
+// aggregation removed less than amgMinShrink of the unknowns.
+func coarsenPairwise(a *CSR, signed []bool) (*amgLevel, *CSR, []bool, error) {
 	n := a.N()
 	invDiag := make([]float64, n)
 	for i, d := range a.Diag() {
 		if d <= 0 {
-			return nil, nil, fmt.Errorf("sparse: AMG: non-positive diagonal at row %d (value %g): %w", i, d, ErrNotPositiveDefinite)
+			return nil, nil, nil, fmt.Errorf("sparse: AMG: non-positive diagonal at row %d (value %g): %w", i, d, ErrNotPositiveDefinite)
 		}
 		invDiag[i] = 1 / d
+	}
+	var tri *triangles
+	if signed != nil {
+		tri = &triangles{a: a, signed: signed, mark: make([]int32, n)}
 	}
 	agg := make([]int32, n)
 	for i := range agg {
@@ -229,23 +238,19 @@ func coarsenPairwise(a *CSR) (*amgLevel, *CSR, error) {
 		if agg[i] >= 0 {
 			continue
 		}
-		best, bestV := -1, 0.0
-		a.Row(i, func(j int, v float64) {
-			if j != i && agg[j] < 0 {
-				if av := math.Abs(v); av > bestV {
-					bestV = av
-					best = j
-				}
-			}
-		})
+		// Candidates in order of strength until one is allowed.
+		best, bestV := strongest(a, agg, i, math.Inf(1), -1)
+		for tri != nil && best >= 0 && tri.banned(i, best) {
+			best, bestV = strongest(a, agg, i, bestV, best)
+		}
 		agg[i] = int32(nc)
 		if best >= 0 {
 			agg[best] = int32(nc)
 		}
 		nc++
 	}
-	if nc >= n {
-		return nil, nil, nil // every aggregate is a singleton: no progress
+	if float64(n-nc) < amgMinShrink*float64(n) {
+		return nil, nil, nil, nil
 	}
 	lvl := &amgLevel{a: a, invDiag: invDiag, agg: agg, nc: nc}
 	// Aggregate member lists (counting sort): ascending fine index within
@@ -264,7 +269,94 @@ func coarsenPairwise(a *CSR) (*amgLevel, *CSR, error) {
 		lvl.aggRows[next[g]] = int32(i)
 		next[g]++
 	}
-	return lvl, galerkinProduct(a, lvl), nil
+	coarseA, coarseSigned := galerkinProduct(a, lvl, signed != nil)
+	return lvl, coarseA, coarseSigned, nil
+}
+
+// positiveRows flags the rows of a that hold a positive off-diagonal, or
+// returns nil when none does (an M-matrix). By symmetry the entries right
+// of each diagonal find them all. The Galerkin operator of an M-matrix is
+// one too, so only the finest level needs this scan; coarser levels take
+// their flags from galerkinProduct.
+func positiveRows(a *CSR) []bool {
+	var signed []bool
+	for i := 0; i < a.n; i++ {
+		for k := a.rowPtr[i+1] - 1; k >= a.rowPtr[i] && int(a.col[k]) > i; k-- {
+			if a.val[k] > 0 {
+				if signed == nil {
+					signed = make([]bool, a.n)
+				}
+				signed[i], signed[a.col[k]] = true, true
+			}
+		}
+	}
+	return signed
+}
+
+// strongest returns row i's unaggregated neighbor j of largest |a_ij|
+// (the lowest column among ties) that ranks after (refV, refJ) in that
+// order: |a_ij| < refV, or |a_ij| = refV and j > refJ. Positive couplings
+// are never candidates. It returns −1 when no neighbor with a nonzero
+// coupling is left.
+func strongest(a *CSR, agg []int32, i int, refV float64, refJ int) (int, float64) {
+	best, bestV := -1, 0.0
+	for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+		j := int(a.col[k])
+		if j == i || agg[j] >= 0 || a.val[k] > 0 {
+			continue
+		}
+		if av := -a.val[k]; av > bestV && (av < refV || (av == refV && j > refJ)) {
+			best, bestV = j, av
+		}
+	}
+	return best, bestV
+}
+
+// triangles finds the edges of a matrix with positive off-diagonals that
+// lie on a triangle (i, j, p) closed by a positive a_ip or a_jp: i and j
+// share a neighbor p positively coupled to one of them. Aggregation must
+// not pair across them; on a voltage-stacked PDN's finest level they are
+// the converters' top–mid and bottom–mid couplings. The test is symmetric
+// in i and j, and coarsenPairwise applies it, with the ban on positive
+// couplings, on every level of the hierarchy.
+//
+// Pairing asks about node i's candidates in turn, so row i is marked once
+// (mark[c] = 2i+2 where a_ic > 0, 2i+1 for the rest of row i; stamps grow
+// with i, so the marker array is never cleared) and each question scans
+// the candidate's row against the marks. Only pairs with an end on a
+// positive coupling are tested at all: on a PDN's finest level, pairs
+// that touch a converter's outer nodes.
+type triangles struct {
+	a      *CSR
+	signed []bool  // row has a positive off-diagonal
+	mark   []int32 // row stamps, see above
+	marked int     // row whose stamps mark holds, plus one
+}
+
+// banned reports whether the edge between node i and its neighbor j lies
+// on a triangle closed by a positive coupling.
+func (t *triangles) banned(i, j int) bool {
+	if !t.signed[i] && !t.signed[j] {
+		return false
+	}
+	a, s := t.a, int32(2*i+1)
+	if t.marked != i+1 {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
+			if c := a.col[k]; int(c) != i && a.val[k] > 0 {
+				t.mark[c] = s + 1
+			} else {
+				t.mark[c] = s
+			}
+		}
+		t.marked = i + 1
+	}
+	for q := a.rowPtr[j]; q < a.rowPtr[j+1]; q++ {
+		p := a.col[q]
+		if m := t.mark[p]; m == s+1 || (m == s && a.val[q] > 0 && int(p) != j) {
+			return true // a_ip > 0 or a_jp > 0, with p adjacent to both
+		}
+	}
+	return false
 }
 
 // galerkinProduct computes the coarse operator PᵀAP for piecewise-constant
@@ -274,8 +366,10 @@ func coarsenPairwise(a *CSR) (*amgLevel, *CSR, error) {
 // stamp-marked index. The accumulation order within a coarse row is fixed
 // by the structure: member fine rows ascending, entries within each row
 // ascending. Explicitly stored zeros of A are skipped, exactly as the
-// historical Builder-based product dropped them.
-func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
+// historical Builder-based product dropped them. With flagSigned it also
+// flags the coarse rows that hold a positive off-diagonal (see
+// positiveRows), reading each row once it is accumulated.
+func galerkinProduct(a *CSR, lvl *amgLevel, flagSigned bool) (*CSR, []bool) {
 	nc := lvl.nc
 	agg, aggPtr, aggRows := lvl.agg, lvl.aggPtr, lvl.aggRows
 	rowPtr := make([]int, nc+1)
@@ -306,12 +400,17 @@ func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
 	}
 	col := make([]int32, rowPtr[nc])
 	val := make([]float64, rowPtr[nc])
+	var signed []bool
+	if flagSigned {
+		signed = make([]bool, nc)
+	}
 	// Pass 2: accumulate values in encounter order, then sort each row's
 	// (col, val) pairs by column. Sorting moves fully accumulated values —
-	// it cannot change any sum. Pass 1 left every mark at a row index
-	// below nc; reset them so row 0 starts unmarked again.
-	for g := range markRow {
-		markRow[g] = -1
+	// it cannot change any sum. markPos holds the absolute position of
+	// coarse column J in the row being filled; a position below the row's
+	// base is left over from an earlier row, so J is not in this one yet.
+	for g := range markPos {
+		markPos[g] = -1
 	}
 	for bigI := 0; bigI < nc; bigI++ {
 		base := rowPtr[bigI]
@@ -324,15 +423,20 @@ func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
 					continue
 				}
 				bigJ := agg[a.col[k]]
-				if markRow[bigJ] != int32(bigI) {
-					markRow[bigJ] = int32(bigI)
-					markPos[bigJ] = int32(nrow)
+				if pos := int(markPos[bigJ]); pos >= base {
+					val[pos] += v
+				} else {
+					markPos[bigJ] = int32(base + nrow)
 					col[base+nrow] = bigJ
 					val[base+nrow] = v
 					nrow++
-				} else {
-					val[base+int(markPos[bigJ])] += v
 				}
+			}
+		}
+		for t := base; signed != nil && t < base+nrow; t++ {
+			if col[t] != int32(bigI) && val[t] > 0 {
+				signed[bigI] = true
+				break
 			}
 		}
 		// Insertion sort by column; coarse rows are short (pairwise
@@ -347,33 +451,7 @@ func galerkinProduct(a *CSR, lvl *amgLevel) *CSR {
 			col[t+1], val[t+1] = c, v
 		}
 	}
-	return &CSR{n: nc, rowPtr: rowPtr, col: col, val: val}
-}
-
-// smoothFromZero performs `sweeps` weighted-Jacobi sweeps starting from the
-// zero vector: the first sweep reduces to x = ωD⁻¹b, the rest are full
-// x += ωD⁻¹(b − Ax) updates. x is fully overwritten.
-func (p *AMGPrec) smoothFromZero(lvl *amgLevel, b, x, r []float64, sweeps int) {
-	w := p.opts.Omega
-	for i := range x {
-		x[i] = w * lvl.invDiag[i] * b[i]
-	}
-	p.smooth(lvl, b, x, r, sweeps-1)
-}
-
-// smooth performs `sweeps` weighted-Jacobi sweeps on the current iterate.
-func (p *AMGPrec) smooth(lvl *amgLevel, b, x, r []float64, sweeps int) {
-	if sweeps <= 0 {
-		return
-	}
-	mKernelSmooth.Add(1)
-	w := p.opts.Omega
-	for s := 0; s < sweeps; s++ {
-		lvl.a.MulVec(x, r)
-		for i := range x {
-			x[i] += w * lvl.invDiag[i] * (b[i] - r[i])
-		}
-	}
+	return &CSR{n: nc, rowPtr: rowPtr, col: col, val: val}, signed
 }
 
 // vcycle runs one V-cycle at level ell, solving A_ell x ≈ b from a zero
@@ -385,7 +463,10 @@ func (p *AMGPrec) vcycle(ell int, b, x []float64) {
 	}
 	lvl := p.levels[ell]
 	r := p.rs[ell]
-	p.smoothFromZero(lvl, b, x, r, p.opts.PreSmooth)
+	// Pre-smoothing: one weighted-Jacobi sweep from x = 0 is x = ωD⁻¹b.
+	for i := range x {
+		x[i] = amgOmega * lvl.invDiag[i] * b[i]
+	}
 	// Coarse-grid correction: restrict the residual (Pᵀr sums each
 	// aggregate's entries), recurse, prolongate (P copies the aggregate
 	// value to its members) and correct. Restriction gathers each
@@ -408,7 +489,12 @@ func (p *AMGPrec) vcycle(ell int, b, x []float64) {
 	for i := range x {
 		x[i] += xc[agg[i]]
 	}
-	p.smooth(lvl, b, x, r, p.opts.PostSmooth)
+	// Post-smoothing: one sweep x += ωD⁻¹(b − Ax).
+	mKernelSmooth.Add(1)
+	lvl.a.MulVec(x, r)
+	for i := range x {
+		x[i] += amgOmega * lvl.invDiag[i] * (b[i] - r[i])
+	}
 }
 
 // Apply computes z = M⁻¹r as one symmetric V-cycle.

@@ -69,7 +69,7 @@ func TestPCGBatchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	amg, err := NewAMG(a, AMGOptions{})
+	amg, err := NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}

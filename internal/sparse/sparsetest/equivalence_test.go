@@ -72,7 +72,7 @@ func TestBatchSerialBitEqualityAcrossSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
+		amg, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -341,7 +341,7 @@ func TestAMGvsIC0ResidualEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
+		amg, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -389,7 +389,7 @@ func TestAMGConvergesWhereIC0ExceedsCap(t *testing.T) {
 	if !errors.Is(errIC, sparse.ErrNoConvergence) {
 		t.Fatalf("expected IC(0)-PCG to exceed its %d-iteration cap, got err=%v res=%+v", cap, errIC, resIC)
 	}
-	amg, err := sparse.NewAMG(a, sparse.AMGOptions{})
+	amg, err := sparse.NewAMG(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sparsetest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -122,6 +123,49 @@ func FuzzNestedDissection(f *testing.F) {
 		}
 		if res := math.Sqrt(num / den); !(res < 1e-10) {
 			t.Fatalf("seed=%d %dx%dx%d hubs=%d: relative residual %g", seed, nx, ny, nz, hubs, res)
+		}
+	})
+}
+
+// stackedRailsMaxIter bounds AMG-PCG on StackedRailsSPD systems of up to
+// 3072 nodes; 1500 random draws needed at most 37 iterations.
+const stackedRailsMaxIter = 100
+
+// FuzzAMGStackedRails fuzzes the AMG preconditioner over voltage-stacked
+// rail meshes, whose positive converter couplings make them non-M-matrices:
+// the hierarchy must build, the V-cycle M must be symmetric (⟨Mu,v⟩ =
+// ⟨u,Mv⟩ to rounding) and positive (⟨Mu,u⟩ > 0), and AMG-PCG must reach a
+// 1e-10 relative residual within stackedRailsMaxIter iterations.
+func FuzzAMGStackedRails(f *testing.F) {
+	f.Add(int64(1), uint8(15), uint8(15), uint8(11), uint8(0))
+	f.Add(int64(7), uint8(7), uint8(15), uint8(6), uint8(1))
+	f.Add(int64(-3), uint8(0), uint8(0), uint8(11), uint8(3))
+	f.Add(int64(42), uint8(31), uint8(4), uint8(1), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, nxRaw, nyRaw, railsRaw, convRaw uint8) {
+		nx, ny := 1+int(nxRaw)%16, 1+int(nyRaw)%16
+		rails, conv := 1+int(railsRaw)%12, 1+int(convRaw)%8
+		a := StackedRailsSPD(nx, ny, rails, conv, seed)
+		n := a.N()
+		label := fmt.Sprintf("seed=%d %dx%d rails=%d conv=%d", seed, nx, ny, rails, conv)
+
+		p, err := sparse.NewAMG(a)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		u, v := RandomRHS(n, seed+1), RandomRHS(n, seed+2)
+		mu, mv := make([]float64, n), make([]float64, n)
+		p.Apply(u, mu)
+		p.Apply(v, mv)
+		lhs, rhs := sparse.Dot(mu, v), sparse.Dot(u, mv)
+		scale := sparse.Norm2(mu)*sparse.Norm2(v) + sparse.Norm2(u)*sparse.Norm2(mv)
+		if !(math.Abs(lhs-rhs) <= 1e-12*scale) {
+			t.Fatalf("%s: V-cycle not symmetric: ⟨Mu,v⟩=%g ⟨u,Mv⟩=%g", label, lhs, rhs)
+		}
+		if uMu := sparse.Dot(mu, u); !(uMu > 0) {
+			t.Fatalf("%s: V-cycle not positive: ⟨Mu,u⟩=%g", label, uMu)
+		}
+		if _, res, err := sparse.PCG(a, u, nil, p, 1e-10, stackedRailsMaxIter); err != nil {
+			t.Fatalf("%s: AMG-PCG: %v (iterations %d, residual %g)", label, err, res.Iterations, res.Residual)
 		}
 	})
 }

@@ -22,7 +22,7 @@ func precFor(t *testing.T, kind string, a *sparse.CSR) sparse.Preconditioner {
 		}
 		return p
 	case "amg":
-		p, err := sparse.NewAMG(a, sparse.AMGOptions{})
+		p, err := sparse.NewAMG(a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Package sparsetest provides deterministic generators of SPD test
-// systems — random diagonally-dominant conductance matrices and PDN-shaped
-// grid Laplacians in two and three dimensions — plus random right-hand-side
+// systems — random diagonally-dominant conductance matrices, PDN-shaped
+// grid Laplacians in two and three dimensions and voltage-stacked rail
+// meshes joined by converter stamps — plus random right-hand-side
 // batches. The solver equivalence properties (batch-vs-serial bit-equality,
 // AMG-vs-IC(0) residual equivalence) and the node-count scaling benchmarks
 // all draw their inputs from here, so every layer of the stack is tested
@@ -133,6 +134,65 @@ func GridHubSPD(nx, ny, nz, hubs, hubDeg int, seed int64) *sparse.CSR {
 		b.Add(hub, hub, 1e-3)
 		for _, i := range rng.Perm(n)[:hubDeg] {
 			edge(i, hub)
+		}
+	}
+	return b.ToCSR()
+}
+
+// StackedRailsSPD builds the DC conductance matrix shape of a
+// voltage-stacked PDN: rails meshes of nx×ny nodes (rail r's node (x, y)
+// is r·nx·ny + y·nx + x) with random segment conductances, joined by
+// converter stamps. Each intermediate rail r carries conv converters at
+// random mesh positions; one stamps g·ccᵀ with c = (½, ½, −1) on (rail
+// r+1, rail r−1, rail r), a positive +g/4 coupling between the outer
+// rails closing a triangle with the mid node, plus a parallel conductance
+// below g/8 between the outer rails. Converter conductances g lie in
+// [1, 51), mesh segments in [0.1, 10.1), so a converter coupling is often
+// a node's strongest. Rail ties at both ends — every node of rails 0 and
+// rails−1 with probability ¼, and node 0 of each always — pin the
+// stack. The matrix is SPD: a null vector would have to be constant on
+// each rail, linear in r (each converter fixes its mid rail at the mean of
+// its outer rails) and zero on both tied end rails.
+func StackedRailsSPD(nx, ny, rails, conv int, seed int64) *sparse.CSR {
+	rng := NewRand(seed)
+	per := nx * ny
+	b := sparse.NewBuilder(per * rails)
+	edge := func(i, j int, g float64) {
+		b.Add(i, i, g)
+		b.Add(j, j, g)
+		b.AddSym(i, j, -g)
+	}
+	for r := 0; r < rails; r++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				i := r*per + y*nx + x
+				if x+1 < nx {
+					edge(i, i+1, 0.1+10*rng.Float64())
+				}
+				if y+1 < ny {
+					edge(i, i+nx, 0.1+10*rng.Float64())
+				}
+				if (r == 0 || r == rails-1) && (x+y == 0 || rng.Intn(4) == 0) {
+					b.Add(i, i, 1+10*rng.Float64())
+				}
+			}
+		}
+	}
+	if conv < 1 {
+		conv = 1
+	}
+	coef := [3]float64{0.5, 0.5, -1}
+	for r := 1; r < rails-1; r++ {
+		for c := 0; c < conv; c++ {
+			mid := r*per + rng.Intn(per)
+			nodes := [3]int{mid + per, mid - per, mid}
+			g := 1 + 50*rng.Float64()
+			for u := range nodes {
+				for v := range nodes {
+					b.Add(nodes[u], nodes[v], g*coef[u]*coef[v])
+				}
+			}
+			edge(mid+per, mid-per, g*rng.Float64()/8)
 		}
 	}
 	return b.ToCSR()
